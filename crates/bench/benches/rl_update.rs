@@ -1,7 +1,7 @@
 //! Throughput of the TD(λ) learner's select/update loop.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hev_rl::{EpsilonGreedy, OneStepConfig, QLearning, TdLambda, TdLambdaConfig};
+use hev_rl::{EpsilonGreedy, TdLambda, TdLambdaConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,16 +30,6 @@ fn bench_rl_update(c: &mut Criterion) {
             let a = learner.select(black_box(s), &mask, &policy, &mut rng);
             s = (s + 31) % n_states;
             a
-        })
-    });
-
-    group.bench_function("q_learning_update", |b| {
-        let mut learner = QLearning::new(n_states, n_actions, OneStepConfig::default());
-        let mut s = 0usize;
-        b.iter(|| {
-            let delta = learner.update(black_box(s), 3, -0.5, (s + 17) % n_states, Some(&mask));
-            s = (s + 17) % n_states;
-            delta
         })
     });
 

@@ -17,10 +17,7 @@
 
 use crate::experiments::fresh_hev;
 use drive_cycle::StandardCycle;
-use hev_control::{
-    split_seed, train_portfolio_wave, CyclePlan, JointController, JointControllerConfig,
-    WaveTrainLane,
-};
+use hev_control::{CyclePlan, JointController, JointControllerConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -33,10 +30,11 @@ use std::time::Instant;
 ///   [`ThroughputSample::batch_width`]). v1 reports parse with the new
 ///   fields defaulting to zero, so committed v1 baselines keep working.
 /// * **v3** — adds the amortization accounting
-///   ([`ThroughputSample::ctx_rebuilds`], defaulting to zero) and the
-///   lockstep wave width ([`Workload::wave_width`], defaulting to one).
-///   v1/v2 reports keep parsing; their zero/one defaults describe the
-///   per-episode, rebuild-per-step workloads those versions measured.
+///   ([`ThroughputSample::ctx_rebuilds`], defaulting to zero). v1/v2
+///   reports keep parsing; the zero default describes the
+///   rebuild-per-step workloads those versions measured. The committed
+///   v3 baseline also carries a workload key for a since-removed
+///   multi-lane mode; readers ignore unknown keys.
 pub(crate) const SCHEMA_VERSION: u32 = 3;
 
 /// What was run to produce a [`ThroughputSample`].
@@ -48,12 +46,6 @@ pub struct Workload {
     pub train_episodes: usize,
     /// RNG seed for the controller.
     pub seed: u64,
-    /// Lockstep wave width: how many independent controllers trained
-    /// together sharing the precomputed cycle plan. Zero (the serde
-    /// default a pre-v3 report deserializes to) and one both denote the
-    /// single-controller workload.
-    #[serde(default)]
-    pub wave_width: usize,
 }
 
 /// One timed run of the workload.
@@ -200,58 +192,26 @@ impl StepThroughputReport {
 /// `scalar_reference` forces the scalar reference implementation of the
 /// inner optimization (no batched kernel), which measures the pre-batch
 /// code path — the denominator of the batching speedup.
-///
-/// `wave` (≥ 1) trains that many independent controllers in lockstep on
-/// the shared cycle plan, fusing their per-step candidate evaluations
-/// into one wide batch; `steps` then counts every lane's steps, so
-/// `steps_per_sec` measures the wave's aggregate throughput on the one
-/// measuring thread. Lane 0 keeps the caller's seed (the one-lane
-/// workload is the same measurement as before); extra lanes split their
-/// own streams from it.
 pub fn measure_step_throughput(
     train_episodes: usize,
     seed: u64,
     scalar_reference: bool,
-    wave: usize,
 ) -> (Workload, ThroughputSample) {
-    let wave = wave.max(1);
     let cycle = StandardCycle::Udds.cycle();
-    let mut agents = Vec::with_capacity(wave);
-    let mut hevs = Vec::with_capacity(wave);
-    for lane in 0..wave {
-        let mut cfg = JointControllerConfig::proposed();
-        cfg.seed = if lane == 0 {
-            seed
-        } else {
-            split_seed(seed, lane as u64)
-        };
-        cfg.inner.scalar_reference = scalar_reference;
-        agents.push(JointController::new(cfg));
-        hevs.push(fresh_hev(0.6));
-    }
+    let mut cfg = JointControllerConfig::proposed();
+    cfg.seed = seed;
+    cfg.inner.scalar_reference = scalar_reference;
+    let mut agent = JointController::new(cfg);
+    let mut hev = fresh_hev(0.6);
 
     hev_trace::evals::reset();
     let t0 = Instant::now();
     // The plan build is inside the timed region: it is exactly the cost
-    // the table amortizes across every lane and episode.
-    let plans = vec![CyclePlan::new(&hevs[0], &cycle)];
-    let mut lanes: Vec<WaveTrainLane<'_>> = agents
-        .iter_mut()
-        .zip(hevs.iter_mut())
-        .map(|(agent, hev)| WaveTrainLane {
-            agent,
-            hev,
-            plans: &plans,
-            telemetry: None,
-        })
-        .collect();
-    train_portfolio_wave(&mut lanes, train_episodes);
-    drop(lanes);
-    let mut steps = 0u64;
-    for (agent, hev) in agents.iter_mut().zip(hevs.iter_mut()) {
-        let metrics = agent.evaluate_planned(hev, &plans[0]);
-        steps += metrics.steps as u64 * (train_episodes as u64 + 1);
-    }
+    // the table amortizes across every episode.
+    let plans = vec![CyclePlan::new(&hev, &cycle)];
+    agent.train_portfolio_planned(&mut hev, &plans, train_episodes);
+    let metrics = agent.evaluate_planned(&mut hev, &plans[0]);
+    let steps = metrics.steps as u64 * (train_episodes as u64 + 1);
     let wall_s = t0.elapsed().as_secs_f64();
     let evals = hev_trace::evals::count();
     let batch_lane_evals = hev_trace::evals::batch_lanes();
@@ -262,7 +222,6 @@ pub fn measure_step_throughput(
         cycle: "UDDS".to_string(),
         train_episodes,
         seed,
-        wave_width: wave,
     };
     let sample = ThroughputSample {
         wall_s,
@@ -310,10 +269,9 @@ mod tests {
 
     #[test]
     fn measurement_produces_consistent_sample() {
-        let (workload, sample) = measure_step_throughput(1, 42, false, 1);
+        let (workload, sample) = measure_step_throughput(1, 42, false);
         assert_eq!(workload.cycle, "UDDS");
         assert_eq!(workload.train_episodes, 1);
-        assert_eq!(workload.wave_width, 1);
         assert!(sample.steps > 0);
         assert!(sample.wall_s > 0.0);
         assert!(sample.steps_per_sec > 0.0);
@@ -333,7 +291,7 @@ mod tests {
 
     #[test]
     fn scalar_reference_measurement_bypasses_the_batched_kernel() {
-        let (_, sample) = measure_step_throughput(0, 42, true, 1);
+        let (_, sample) = measure_step_throughput(0, 42, true);
         assert!(sample.evals > 0);
         assert_eq!(sample.batch_lane_evals, 0);
         assert_eq!(sample.batch_calls, 0);
@@ -342,7 +300,7 @@ mod tests {
 
     #[test]
     fn context_table_collapses_rebuilds_to_one_per_cycle() {
-        let (_, sample) = measure_step_throughput(1, 42, false, 1);
+        let (_, sample) = measure_step_throughput(1, 42, false);
         // One UDDS cycle, one vehicle config: the whole workload (train
         // + evaluate) must rebuild its context exactly once — the plan
         // build. Anything above one means a per-step rebuild leaked back
@@ -354,49 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn wave_measurement_fuses_lanes_and_shares_the_plan() {
-        let (w1, s1) = measure_step_throughput(1, 42, false, 1);
-        let (w4, s4) = measure_step_throughput(1, 42, false, 4);
-        assert_eq!(w4.wave_width, 4);
-        // Four lanes simulate four times the steps off one shared plan
-        // build, and fusing widens the mean batch without changing the
-        // per-lane work (lane 0 repeats the one-lane workload exactly).
-        assert_eq!(s4.steps, 4 * s1.steps);
-        assert_eq!(s4.ctx_rebuilds, 1);
-        assert!(
-            s4.batch_width > s1.batch_width,
-            "fused waves must widen the mean batch: {} vs {}",
-            s4.batch_width,
-            s1.batch_width
-        );
-        assert_eq!(w1.cycle, w4.cycle);
-    }
-
-    /// Lockstep fusion rearranges evaluations into wider batches but must
-    /// never change how many there are: the wave's total equals the sum of
-    /// the same lanes measured one at a time.
-    #[test]
-    fn wave_evals_equal_the_sum_of_sequential_lane_evals() {
-        let (_, wave) = measure_step_throughput(1, 42, false, 3);
-        let mut sequential = 0u64;
-        for lane in 0..3u64 {
-            let lane_seed = if lane == 0 { 42 } else { split_seed(42, lane) };
-            let (_, s) = measure_step_throughput(1, lane_seed, false, 1);
-            sequential += s.evals;
-        }
-        assert_eq!(
-            wave.evals, sequential,
-            "fused waves must do exactly the sequential lanes' work"
-        );
-    }
-
-    #[test]
     fn report_round_trips_through_json() {
         let workload = Workload {
             cycle: "UDDS".to_string(),
             train_episodes: 4,
             seed: 42,
-            wave_width: 8,
         };
         let current = ThroughputSample {
             wall_s: 0.5,
@@ -451,7 +371,6 @@ mod tests {
         assert_eq!(report.current.batch_calls, 0);
         assert_eq!(report.current.batch_width, 0.0);
         assert_eq!(report.current.ctx_rebuilds, 0);
-        assert_eq!(report.workload.wave_width, 0, "pre-v3 default: single lane");
         let baseline = report.baseline.expect("baseline survives");
         assert_eq!(baseline.evals, 1_062_241);
         assert_eq!(baseline.batch_lane_evals, 0);
@@ -462,9 +381,7 @@ mod tests {
 
     /// Golden test for the v2 reader: a committed schema-v2 report (lane
     /// accounting but no amortization fields) must keep parsing, with
-    /// `ctx_rebuilds` and `wave_width` defaulting to zero (zero width
-    /// denotes a pre-v3 single-lane workload), and every v2 field
-    /// preserved.
+    /// `ctx_rebuilds` defaulting to zero and every v2 field preserved.
     #[test]
     fn v2_report_parses_with_defaulted_amortization_fields() {
         let v2 = r#"{"schema_version": 2,
@@ -481,8 +398,28 @@ mod tests {
         assert_eq!(report.current.batch_lane_evals, 696_841);
         assert_eq!(report.current.batch_calls, 49_636);
         assert_eq!(report.current.ctx_rebuilds, 0, "v3 field defaults to zero");
-        assert_eq!(report.workload.wave_width, 0, "pre-v3 default: single lane");
         assert!(report.guard_evals(10.0).is_ok());
+        assert!(report.guard_steps_per_sec(0.25).is_ok());
+    }
+
+    /// Golden test for the committed v3 baseline that CI's
+    /// `--bench-guard` step reads: it must keep parsing (unknown
+    /// workload keys are ignored), and both guards must pass on it.
+    #[test]
+    fn committed_v3_report_parses_and_guards() {
+        let text = include_str!("../../../BENCH_step_throughput.json");
+        let report: StepThroughputReport =
+            serde_json::from_str(text).expect("the committed v3 report parses");
+        assert_eq!(report.schema_version, 3);
+        assert_eq!(report.workload.cycle, "UDDS");
+        assert_eq!(report.workload.train_episodes, 4);
+        assert_eq!(report.workload.seed, 42);
+        assert_eq!(report.current.steps, 6845);
+        assert_eq!(report.current.evals, 751_175);
+        assert_eq!(report.current.batch_lane_evals, 265_344);
+        assert_eq!(report.current.batch_calls, 24_615);
+        assert_eq!(report.current.ctx_rebuilds, 1);
+        assert!(report.guard_evals(2.0).is_ok());
         assert!(report.guard_steps_per_sec(0.25).is_ok());
     }
 
@@ -492,7 +429,6 @@ mod tests {
             cycle: "UDDS".to_string(),
             train_episodes: 4,
             seed: 42,
-            wave_width: 1,
         };
         let report =
             StepThroughputReport::new(workload.clone(), sample(101.0)).with_baseline(sample(100.0));
@@ -511,7 +447,6 @@ mod tests {
             cycle: "UDDS".to_string(),
             train_episodes: 4,
             seed: 42,
-            wave_width: 1,
         };
         let mk = |steps_per_sec: f64| ThroughputSample {
             steps_per_sec,

@@ -118,10 +118,10 @@ pub fn since(snapshot: u64) -> u64 {
 
 /// One snapshot of every per-thread counter, taken with [`counts`].
 ///
-/// Windowed consumers (per-episode telemetry, the lockstep episode wave's
-/// per-lane attribution) difference two snapshots with [`Counts::since`]
-/// and accumulate attributed deltas with [`Counts::add`]; both are
-/// wrapping, like the underlying counters.
+/// Windowed consumers (per-episode telemetry, per-layer benchmark
+/// counters) difference two snapshots with [`Counts::since`] and
+/// accumulate deltas with [`Counts::add`]; both are wrapping, like the
+/// underlying counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Peek-equivalent evaluations ([`count`]).

@@ -8,9 +8,8 @@
 //! * [`QTable`] — dense action-value storage with visit counting;
 //! * [`EligibilityTraces`] — the paper's bounded list of the `M` most
 //!   recent state-action pairs (§4.3.4);
-//! * [`TdLambda`] — Algorithm 1, the TD(λ)-learning update;
-//! * [`QLearning`], [`Sarsa`], [`DoubleQ`] — one-step learners for
-//!   baselines and ablations;
+//! * [`TdLambda`] — Algorithm 1, the TD(λ)-learning update, the one
+//!   learner the controller trains with;
 //! * [`Greedy`], [`EpsilonGreedy`], [`DecayingEpsilon`], [`Softmax`] —
 //!   exploration-versus-exploitation policies.
 //!
@@ -39,13 +38,8 @@
 #![forbid(unsafe_code)]
 
 pub mod discretize;
-pub mod double_q;
-pub mod expected_sarsa;
-pub mod monte_carlo;
 pub mod policy;
-pub mod q_learning;
 pub mod qtable;
-pub mod sarsa;
 pub mod schedule;
 pub mod sparse;
 pub mod stats;
@@ -53,13 +47,8 @@ pub mod td_lambda;
 pub mod traces;
 
 pub use discretize::{CustomBins, ProductSpace, UniformGrid};
-pub use double_q::DoubleQ;
-pub use expected_sarsa::ExpectedSarsa;
-pub use monte_carlo::MonteCarlo;
 pub use policy::{ucb_select, DecayingEpsilon, EpsilonGreedy, ExplorationPolicy, Greedy, Softmax};
-pub use q_learning::{OneStepConfig, QLearning};
 pub use qtable::QTable;
-pub use sarsa::Sarsa;
 pub use schedule::Schedule;
 pub use sparse::SparseQTable;
 pub use stats::{QStats, TdStats, TD_ABS_DELTA_BOUNDS};
