@@ -123,13 +123,18 @@ fn faulted_evaluations_identical_across_worker_counts() {
     }
 }
 
-/// Trains one controller per split seed on the given evaluation path
-/// (batched by default, or the scalar reference implementation when
-/// `scalar_reference` is set) and returns the full trained state.
-fn train_snapshots_on_path(jobs: usize, scalar_reference: bool) -> Vec<(ControllerSnapshot, f64)> {
+/// Trains one controller of config `base` per split seed on the given
+/// evaluation path (batched by default, or the scalar reference
+/// implementation when `scalar_reference` is set) and returns the full
+/// trained state.
+fn train_snapshots_on_path(
+    base: &JointControllerConfig,
+    jobs: usize,
+    scalar_reference: bool,
+) -> Vec<(ControllerSnapshot, f64)> {
     let cycle = StandardCycle::Oscar.cycle();
     Harness::new(jobs).run_seeded("determinism", 2015, 3, |_, seed| {
-        let mut cfg = JointControllerConfig::proposed();
+        let mut cfg = base.clone();
         cfg.seed = seed;
         cfg.inner.scalar_reference = scalar_reference;
         let mut hev = experiments::fresh_hev(cfg.initial_soc);
@@ -144,9 +149,10 @@ fn train_snapshots_on_path(jobs: usize, scalar_reference: bool) -> Vec<(Controll
 /// refactor: against the scalar reference implementation (the pre-batch
 /// golden, reachable via `InnerOptimizer::scalar_reference`), training
 /// yields bit-identical Q-tables, exploration state, fuel, and
-/// serialized run output at every worker count. The embedded config is
-/// excluded from the comparison — it necessarily differs by the
-/// `scalar_reference` flag itself.
+/// serialized run output at every worker count, in both the reduced and
+/// the full action space (whose mask and myopic argmax share one scored
+/// batch). The embedded config is excluded from the comparison — it
+/// necessarily differs by the `scalar_reference` flag itself.
 #[test]
 fn batched_path_matches_scalar_reference_goldens() {
     fn trained_state(
@@ -157,19 +163,27 @@ fn batched_path_matches_scalar_reference_goldens() {
             .map(|(s, fuel)| (s.learner, s.epsilon, s.rng_state, fuel))
             .collect()
     }
-    let golden = trained_state(train_snapshots_on_path(1, true));
-    let golden_bytes = serde_json::to_string(&golden).expect("snapshots serialize");
-    for jobs in [1, 2, 4] {
-        let batched = trained_state(train_snapshots_on_path(jobs, false));
-        assert_eq!(
-            golden, batched,
-            "batched trained state diverged from the scalar reference at {jobs} workers"
-        );
-        let batched_bytes = serde_json::to_string(&batched).expect("snapshots serialize");
-        assert_eq!(
-            golden_bytes, batched_bytes,
-            "batched run output bytes diverged from the scalar reference at {jobs} workers"
-        );
+    for (space, base) in [
+        ("reduced", JointControllerConfig::proposed()),
+        (
+            "full",
+            JointControllerConfig::full_action_space(5, vec![100.0, 600.0, 1_100.0]),
+        ),
+    ] {
+        let golden = trained_state(train_snapshots_on_path(&base, 1, true));
+        let golden_bytes = serde_json::to_string(&golden).expect("snapshots serialize");
+        for jobs in [1, 2, 4] {
+            let batched = trained_state(train_snapshots_on_path(&base, jobs, false));
+            assert_eq!(
+                golden, batched,
+                "{space}-space batched trained state diverged from the scalar reference at {jobs} workers"
+            );
+            let batched_bytes = serde_json::to_string(&batched).expect("snapshots serialize");
+            assert_eq!(
+                golden_bytes, batched_bytes,
+                "{space}-space batched run output bytes diverged from the scalar reference at {jobs} workers"
+            );
+        }
     }
 }
 

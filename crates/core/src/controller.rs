@@ -209,7 +209,7 @@ struct StepScratch {
     /// stamp equals `epoch`; the payload `None` means resolved infeasible.
     resolved: Vec<(u64, Option<ResolvedAction>)>,
     /// Candidate batch of the full action space's mask sweep, whose
-    /// per-action outcomes the myopic argmax then reuses (the reduced
+    /// per-action rewards the myopic argmax then reuses (the reduced
     /// space masks through the resolve scratch's batch instead).
     batch: CandidateBatch,
     /// Battery-context cache of the full-space mask sweep, valid for one
@@ -221,7 +221,7 @@ struct StepScratch {
     /// malformed actions that never became a lane).
     full_lane: Vec<usize>,
     /// Epoch stamp of the full-space mask batch: when it equals `epoch`,
-    /// `batch`/`full_lane` hold this step's per-action outcomes and the
+    /// `batch`/`full_lane` hold this step's per-action rewards and the
     /// myopic argmax reads them instead of re-peeking.
     mask_batch_stamp: u64,
 }
@@ -562,9 +562,8 @@ impl<P: Predictor> JointController<P> {
     /// Both action spaces go through the batched kernel (verdicts
     /// bit-identical to the scalar probes): the reduced space's current
     /// grid masks via [`InnerOptimizer::fill_mask_batched`], and the full
-    /// space evaluates every decodable action as one batch whose
-    /// per-action outcomes [`JointController::best_myopic_action`] then
-    /// reuses for free.
+    /// space scores every decodable action's reward in one batch that
+    /// [`JointController::best_myopic_action`] then reuses for free.
     fn fill_action_mask(&mut self, hev: &ParallelHev, obs: &Observation<'_>) {
         let dt = self.config.reward.dt_s;
         match &self.config.action {
@@ -612,7 +611,10 @@ impl<P: Predictor> JointController<P> {
                         );
                     }
                 }
-                hev.evaluate_batch_cached(obs.ctx, batch, &mut self.scratch.ctx_cache);
+                let reward = self.config.reward;
+                hev.evaluate_batch_scored(obs.ctx, batch, &mut self.scratch.ctx_cache, |o| {
+                    reward.reward(o)
+                });
                 for idx in 0..n {
                     let lane = self.scratch.full_lane[idx];
                     self.scratch.mask[idx] =
@@ -667,18 +669,14 @@ impl<P: Predictor> JointController<P> {
                 self.resolve_cached(hev, obs, idx, current)
                     .map(|r| r.reward)
             } else if self.scratch.mask_batch_stamp == self.scratch.epoch {
-                // The mask batch already evaluated this action this step;
-                // its stored lane replays the peek bit-for-bit at zero
-                // extra evaluations.
+                // The mask batch already scored this action this step
+                // with the reward, bit-for-bit the peek's, at zero extra
+                // evaluations.
                 let lane = self.scratch.full_lane[idx];
                 if lane == usize::MAX {
                     None
                 } else {
-                    self.scratch
-                        .batch
-                        .outcome(lane)
-                        .ok()
-                        .map(|o| self.config.reward.reward(&o))
+                    self.scratch.batch.score(lane)
                 }
             } else {
                 // Scalar reference: a malformed action scores no reward

@@ -172,7 +172,7 @@ impl InnerOptimizer {
     /// the per-step action-mask path, where the context built for the
     /// final apply is already in hand.
     #[inline]
-    pub fn feasible_with(
+    fn feasible_with(
         &self,
         hev: &ParallelHev,
         ctx: &StepContext,
@@ -321,7 +321,7 @@ impl InnerOptimizer {
     }
 
     /// Batched action mask over a current grid: `mask[idx]` answers the
-    /// same question as [`InnerOptimizer::feasible_with`] on
+    /// same question as the scalar `InnerOptimizer::feasible_with` on
     /// `currents[idx]` — verdict-identical and, wave by wave, probing
     /// exactly the candidates the scalar short-circuit would.
     ///

@@ -1,32 +1,35 @@
 //! The batched candidate-evaluation kernel.
 //!
 //! Controllers sweep many `(current, gear, p_aux)` candidates against one
-//! step's demand — feasibility masks, inner-optimization grids, ternary
-//! refinements, DP current sweeps. [`CandidateBatch`] holds all the
-//! candidates of one sweep in structure-of-arrays form (parallel input
-//! arrays of currents, gear indices, and auxiliary powers; parallel
-//! output arrays of feasibility verdicts and every [`StepOutcome`]
-//! field), and [`ParallelHev::evaluate_batch`] resolves the whole batch
-//! in one sweep over a prebuilt [`StepContext`].
+//! step's demand — feasibility masks, inner-optimization grids, DP
+//! current sweeps. [`CandidateBatch`] holds all the candidates of one
+//! sweep in structure-of-arrays form (parallel input arrays of currents,
+//! gear indices, and auxiliary powers; parallel output arrays of
+//! feasibility verdicts and caller-computed scores), and
+//! [`ParallelHev::evaluate_batch_scored`] resolves the whole batch in one
+//! sweep over a prebuilt [`StepContext`], serving each lane's
+//! per-current battery precomputation from a [`CurrentContextCache`].
 //!
 //! # The scalar-reference contract
 //!
 //! [`ParallelHev::peek_with_context`] is the *scalar reference
-//! implementation*: every batch lane must be **bit-identical** — every
-//! float field, every feasibility verdict, every error variant — to a
-//! scalar `peek_with_context` call with the same control at the same
-//! vehicle state. The kernel guarantees this by construction: each lane
-//! runs the very same completion body (`complete_control`) the scalar
-//! path runs, against a [`CurrentContext`] built by the very same pure
-//! call; the only differences are *where* the per-current battery
-//! precomputation is cached (consecutive lanes commanding bit-equal
-//! currents share one context — a pure function of the same inputs, so
-//! the shared value is the value each lane would have rebuilt) and *how*
-//! evaluations are counted (one per lane in a single batched counter
-//! update, instead of one counter hit per scalar call). The differential
-//! suite (`tests/batch_differential.rs`) pins the contract with
-//! `to_bits()` equality across cycles, randomized states, and perturbed
-//! vehicles.
+//! implementation*: every batch lane's feasibility verdict and error
+//! variant must be **bit-identical** to a scalar `peek_with_context`
+//! call with the same control at the same vehicle state, and its score
+//! must be the bits of the score closure applied to the scalar outcome.
+//! The kernel guarantees this by construction: each lane runs the very
+//! same completion body (`complete_control`) the scalar path runs,
+//! against a [`CurrentContext`] built by the very same pure call; the
+//! only differences are *where* the per-current battery precomputation
+//! is cached (a pure function of the same inputs, so the cached value is
+//! the value each lane would have rebuilt) and *how* evaluations are
+//! counted (one per lane in a single batched counter update, instead of
+//! one counter hit per scalar call). The winner of a sweep is
+//! re-materialized by [`ParallelHev::replay_candidate`], which returns
+//! the scalar outcome bit for bit. The differential suite
+//! (`tests/batch_differential.rs`) pins the contract with `to_bits()`
+//! equality on every outcome field across cycles, randomized states,
+//! and perturbed vehicles.
 //!
 //! # Eval accounting
 //!
@@ -37,26 +40,25 @@
 //! # Examples
 //!
 //! ```
-//! use hev_model::{CandidateBatch, HevParams, ParallelHev};
+//! use hev_model::{CandidateBatch, CurrentContextCache, HevParams, ParallelHev};
 //!
 //! let hev = ParallelHev::new(HevParams::default_parallel_hev(), 0.6)?;
 //! let demand = hev.demand(15.0, 0.3, 0.0);
 //! let ctx = hev.step_context(&demand);
 //! let mut batch = CandidateBatch::default();
+//! let mut cache = CurrentContextCache::new();
 //! batch.begin(1.0);
 //! for gear in 0..5 {
 //!     batch.push(10.0, gear, 600.0);
 //! }
-//! hev.evaluate_batch(&ctx, &mut batch);
+//! hev.evaluate_batch_scored(&ctx, &mut batch, &mut cache, |o| -o.fuel_g);
 //! let feasible = (0..batch.len()).filter(|&l| batch.is_feasible(l)).count();
 //! assert!(feasible > 0);
 //! # Ok::<(), hev_model::ParamError>(())
 //! ```
 
 use crate::error::InfeasibleControl;
-use crate::vehicle::{
-    ControlInput, CurrentContext, OperatingMode, ParallelHev, StepContext, StepOutcome,
-};
+use crate::vehicle::{ControlInput, CurrentContext, ParallelHev, StepContext, StepOutcome};
 
 /// A caller-scoped cache of per-current battery precomputations
 /// ([`CurrentContext`]), keyed by the commanded current's raw bits.
@@ -79,14 +81,13 @@ use crate::vehicle::{
 /// several demands evaluated against the same vehicle state.
 ///
 /// Lookup is **direct-mapped** over raw `f64` bits (so NaN currents
-/// cache too, and `-0.0` never aliases `+0.0` — the same bit-equality
-/// rule the kernel's consecutive-lane reuse applies): the key's
-/// Fibonacci hash picks one of [`CACHE_SLOTS`] fixed slots, a hit is a
-/// single compare, and a conflicting current simply evicts the slot. An
-/// eviction is bit-safe — the context is a pure function of its inputs,
-/// so recomputing it later yields the very same bits — it only costs
-/// one rebuild. [`clear`](CurrentContextCache::clear) is O(1): slots
-/// carry a generation stamp and clearing bumps the generation.
+/// cache too, and `-0.0` never aliases `+0.0`): the key's Fibonacci
+/// hash picks one of 64 fixed slots, a hit is a single compare, and a
+/// conflicting current simply evicts the slot. An eviction is bit-safe
+/// — the context is a pure function of its inputs, so recomputing it
+/// later yields the very same bits — it only costs one rebuild.
+/// [`clear`](CurrentContextCache::clear) is O(1): slots carry a
+/// generation stamp and clearing bumps the generation.
 ///
 /// Cache efficacy is observable: every lookup records a hit or a miss
 /// in the thread-local [`hev_trace::evals`] counters
@@ -96,14 +97,14 @@ use crate::vehicle::{
 pub struct CurrentContextCache {
     /// Current generation; a slot is live only while its stamp matches.
     generation: u64,
-    /// Lazily allocated to [`CACHE_SLOTS`] entries on first insert.
+    /// Lazily allocated to `CACHE_SLOTS` entries on first insert.
     slots: Vec<CacheSlot>,
 }
 
 /// Fixed slot count of the direct-mapped cache: sweeps probe at most a
 /// few dozen distinct currents (the action grid plus ternary-refinement
 /// probes), so 64 slots keep conflict evictions rare.
-pub const CACHE_SLOTS: usize = 64;
+const CACHE_SLOTS: usize = 64;
 
 /// Fibonacci-hash multiplier (2^64 / φ), spreading raw current bits
 /// uniformly over the slot index's top bits.
@@ -204,7 +205,8 @@ impl CurrentContextCache {
 }
 
 /// A structure-of-arrays batch of candidate controls for one step, with
-/// per-lane outputs filled by [`ParallelHev::evaluate_batch`].
+/// per-lane verdicts and scores filled by
+/// [`ParallelHev::evaluate_batch_scored`].
 ///
 /// Reuse one batch across steps ([`CandidateBatch::begin`] keeps the
 /// allocations); controllers hold one in their per-step scratch.
@@ -222,28 +224,10 @@ pub struct CandidateBatch {
     tags: Vec<usize>,
     // ---- outputs (parallel arrays, one entry per lane) ------------------
     /// Feasibility verdict: `None` = feasible, `Some(reason)` = the exact
-    /// error the scalar reference returns. Infeasible lanes leave their
-    /// numeric outputs zeroed.
+    /// error the scalar reference returns.
     err: Vec<Option<InfeasibleControl>>,
-    /// Caller-computed per-lane score, filled only by
-    /// [`ParallelHev::evaluate_batch_scored`] (zeroed on infeasible
-    /// lanes; empty after a full evaluation).
+    /// Caller-computed per-lane score (zeroed on infeasible lanes).
     score: Vec<f64>,
-    mode: Vec<OperatingMode>,
-    fuel_rate: Vec<f64>,
-    fuel_g: Vec<f64>,
-    engine_started: Vec<bool>,
-    ice_torque: Vec<f64>,
-    ice_speed: Vec<f64>,
-    em_torque: Vec<f64>,
-    em_speed: Vec<f64>,
-    battery_current: Vec<f64>,
-    battery_power: Vec<f64>,
-    p_aux_out: Vec<f64>,
-    aux_utility: Vec<f64>,
-    friction: Vec<f64>,
-    soc_before: Vec<f64>,
-    soc_after: Vec<f64>,
 }
 
 impl CandidateBatch {
@@ -255,27 +239,8 @@ impl CandidateBatch {
         self.gears.clear();
         self.aux_w.clear();
         self.tags.clear();
-        self.clear_outputs();
-    }
-
-    fn clear_outputs(&mut self) {
         self.err.clear();
         self.score.clear();
-        self.mode.clear();
-        self.fuel_rate.clear();
-        self.fuel_g.clear();
-        self.engine_started.clear();
-        self.ice_torque.clear();
-        self.ice_speed.clear();
-        self.em_torque.clear();
-        self.em_speed.clear();
-        self.battery_current.clear();
-        self.battery_power.clear();
-        self.p_aux_out.clear();
-        self.aux_utility.clear();
-        self.friction.clear();
-        self.soc_before.clear();
-        self.soc_after.clear();
     }
 
     /// Appends a candidate lane with tag 0.
@@ -329,7 +294,7 @@ impl CandidateBatch {
     }
 
     /// Whether a lane resolved feasible. Meaningful only after
-    /// [`ParallelHev::evaluate_batch`].
+    /// [`ParallelHev::evaluate_batch_scored`].
     ///
     /// # Panics
     ///
@@ -357,7 +322,7 @@ impl CandidateBatch {
     /// # Panics
     ///
     /// Panics if `lane` is out of range (or the batch was never
-    /// score-evaluated).
+    /// evaluated).
     pub fn score(&self, lane: usize) -> Option<f64> {
         if self.err[lane].is_none() {
             Some(self.score[lane])
@@ -365,245 +330,32 @@ impl CandidateBatch {
             None
         }
     }
-
-    /// Fuel consumed by one feasible lane, g (a reward term; zeroed on
-    /// infeasible lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (or the batch was never
-    /// evaluated).
-    pub fn fuel_g(&self, lane: usize) -> f64 {
-        self.fuel_g[lane]
-    }
-
-    /// Auxiliary utility of one feasible lane (a reward term; zeroed on
-    /// infeasible lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (or the batch was never
-    /// evaluated).
-    pub fn aux_utility(&self, lane: usize) -> f64 {
-        self.aux_utility[lane]
-    }
-
-    /// State of charge after one feasible lane (a reward term; zeroed on
-    /// infeasible lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (or the batch was never
-    /// evaluated).
-    pub fn soc_after(&self, lane: usize) -> f64 {
-        self.soc_after[lane]
-    }
-
-    /// Realized battery current of one feasible lane, A (zeroed on
-    /// infeasible lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (or the batch was never
-    /// evaluated).
-    pub fn battery_current_a(&self, lane: usize) -> f64 {
-        self.battery_current[lane]
-    }
-
-    /// Battery terminal power of one feasible lane, W (a reward term;
-    /// zeroed on infeasible lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (or the batch was never
-    /// evaluated).
-    pub fn battery_power_w(&self, lane: usize) -> f64 {
-        self.battery_power[lane]
-    }
-
-    /// Reassembles one lane's full result — bit-identical to the scalar
-    /// reference's `Result<StepOutcome, InfeasibleControl>` for the same
-    /// control.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range (or the batch was never
-    /// evaluated).
-    pub fn outcome(&self, lane: usize) -> Result<StepOutcome, InfeasibleControl> {
-        if let Some(err) = self.err[lane] {
-            return Err(err);
-        }
-        Ok(StepOutcome {
-            mode: self.mode[lane],
-            fuel_rate_g_per_s: self.fuel_rate[lane],
-            fuel_g: self.fuel_g[lane],
-            engine_started: self.engine_started[lane],
-            ice_torque_nm: self.ice_torque[lane],
-            ice_speed_rad_s: self.ice_speed[lane],
-            em_torque_nm: self.em_torque[lane],
-            em_speed_rad_s: self.em_speed[lane],
-            battery_current_a: self.battery_current[lane],
-            battery_power_w: self.battery_power[lane],
-            p_aux_w: self.p_aux_out[lane],
-            aux_utility: self.aux_utility[lane],
-            friction_brake_torque_nm: self.friction[lane],
-            soc_before: self.soc_before[lane],
-            soc_after: self.soc_after[lane],
-        })
-    }
-
-    /// Scatters one resolved lane into the output arrays.
-    fn store(&mut self, result: &Result<StepOutcome, InfeasibleControl>) {
-        // Infeasible lanes store the zeroed filler so every output array
-        // stays lane-aligned; `Stopped` is the mode filler (the verdict
-        // array is authoritative).
-        const ZERO: StepOutcome = StepOutcome {
-            mode: OperatingMode::Stopped,
-            fuel_rate_g_per_s: 0.0,
-            fuel_g: 0.0,
-            engine_started: false,
-            ice_torque_nm: 0.0,
-            ice_speed_rad_s: 0.0,
-            em_torque_nm: 0.0,
-            em_speed_rad_s: 0.0,
-            battery_current_a: 0.0,
-            battery_power_w: 0.0,
-            p_aux_w: 0.0,
-            aux_utility: 0.0,
-            friction_brake_torque_nm: 0.0,
-            soc_before: 0.0,
-            soc_after: 0.0,
-        };
-        let (err, o) = match result {
-            Ok(o) => (None, o),
-            Err(e) => (Some(*e), &ZERO),
-        };
-        self.err.push(err);
-        self.mode.push(o.mode);
-        self.fuel_rate.push(o.fuel_rate_g_per_s);
-        self.fuel_g.push(o.fuel_g);
-        self.engine_started.push(o.engine_started);
-        self.ice_torque.push(o.ice_torque_nm);
-        self.ice_speed.push(o.ice_speed_rad_s);
-        self.em_torque.push(o.em_torque_nm);
-        self.em_speed.push(o.em_speed_rad_s);
-        self.battery_current.push(o.battery_current_a);
-        self.battery_power.push(o.battery_power_w);
-        self.p_aux_out.push(o.p_aux_w);
-        self.aux_utility.push(o.aux_utility);
-        self.friction.push(o.friction_brake_torque_nm);
-        self.soc_before.push(o.soc_before);
-        self.soc_after.push(o.soc_after);
-    }
 }
 
 impl ParallelHev {
-    /// Resolves every lane of `batch` against the prebuilt context in one
-    /// sweep, filling the batch's output arrays.
+    /// The candidate kernel: evaluates every lane of `batch` against the
+    /// prebuilt context in one sweep, storing each lane's feasibility
+    /// verdict and a caller-computed `score` of its outcome.
     ///
-    /// Per-lane results are bit-identical to the scalar reference
-    /// ([`ParallelHev::peek_with_context`]) with the same control at the
-    /// batch's `dt` — see the module docs for the contract. Consecutive
-    /// lanes commanding bit-equal currents share one [`CurrentContext`]
-    /// build (callers get the most from the kernel by grouping lanes by
-    /// current), and the whole batch records exactly `len()`
-    /// peek-equivalent evaluations in one counter update.
-    ///
-    /// `ctx` must have been built (or rebuilt) by this vehicle for the
-    /// demand being evaluated, exactly as for
-    /// [`ParallelHev::peek_with_context`].
-    ///
-    /// [`CurrentContext`]: crate::vehicle::CurrentContext
-    pub fn evaluate_batch(&self, ctx: &StepContext, batch: &mut CandidateBatch) {
-        batch.clear_outputs();
-        let n = batch.len();
-        if n == 0 {
-            return;
-        }
-        let _span = hev_trace::span::enter("model.batch_fill");
-        crate::instrument::record_batch(n as u64);
-        let mut cur = self.current_context(batch.currents[0], batch.dt);
-        for lane in 0..n {
-            let battery_current_a = batch.currents[lane];
-            // Bit-equality (not ==) so NaN commands also reuse and a
-            // negative zero never aliases a positive one.
-            if battery_current_a.to_bits() != cur.battery_current_a().to_bits() {
-                cur = self.current_context(battery_current_a, batch.dt);
-            }
-            let control = ControlInput {
-                battery_current_a,
-                gear: batch.gears[lane],
-                p_aux_w: batch.aux_w[lane],
-            };
-            let result = self.complete_control(ctx, &cur, &control);
-            batch.store(&result);
-        }
-    }
-
-    /// [`ParallelHev::evaluate_batch`] resolving each lane's
-    /// [`CurrentContext`] through a caller-scoped
-    /// [`CurrentContextCache`] instead of rebuilding on every change of
-    /// lane current.
-    ///
-    /// Bit-identical to [`ParallelHev::evaluate_batch`] (a cached
-    /// context is the same pure value a rebuild would produce) and
-    /// records the same `len()` lane evaluations. Use it when one sweep
-    /// issues *many* batch calls over *few* distinct currents — e.g. the
-    /// inner optimizer's wave-per-iteration resolve, where every wave
-    /// commands the same current: the cache makes the whole resolve
-    /// build one context, where the uncached kernel would build one per
-    /// wave.
-    ///
-    /// The cache must be scoped to this vehicle's current battery state
-    /// and this batch's `dt` — see [`CurrentContextCache`].
-    pub fn evaluate_batch_cached(
-        &self,
-        ctx: &StepContext,
-        batch: &mut CandidateBatch,
-        cache: &mut CurrentContextCache,
-    ) {
-        batch.clear_outputs();
-        let n = batch.len();
-        if n == 0 {
-            return;
-        }
-        let _span = hev_trace::span::enter("model.batch_fill");
-        crate::instrument::record_batch(n as u64);
-        for lane in 0..n {
-            let battery_current_a = batch.currents[lane];
-            let cur = cache.get_or_insert(self, battery_current_a, batch.dt);
-            let control = ControlInput {
-                battery_current_a,
-                gear: batch.gears[lane],
-                p_aux_w: batch.aux_w[lane],
-            };
-            let result = self.complete_control(ctx, cur, &control);
-            batch.store(&result);
-        }
-    }
-
-    /// The lean sweep kernel: evaluates every lane but stores only its
-    /// feasibility verdict and a caller-computed `score` — no outcome
-    /// fields are materialized.
-    ///
-    /// Argmax sweeps (the inner optimization, feasibility masks) consume
-    /// only a score — or nothing at all — per losing candidate; storing
-    /// the full sixteen-array outcome per lane costs more than the
-    /// physics. Because `score` is monomorphized into the lane loop and
+    /// Sweeps consume only a score — or just a verdict — per losing
+    /// candidate. Because `score` is monomorphized into the lane loop and
     /// the completion is `#[inline(always)]`, the parts of the outcome
     /// the score never reads are dead-code-eliminated — the same
     /// optimization the scalar sweep (`evaluate_reward`) gets. Winners
-    /// are re-materialized once via
-    /// [`ParallelHev::replay_candidate`].
+    /// are re-materialized once via [`ParallelHev::replay_candidate`].
     ///
     /// Per-lane verdicts and scores are bit-identical to scoring the
-    /// scalar reference's outcome: each lane runs the same completion on
-    /// the same cached pure context, and `score` sees the same outcome
-    /// bits. Records `len()` lane evaluations, exactly like
-    /// [`ParallelHev::evaluate_batch`]. After a scored evaluation only
-    /// [`CandidateBatch::score`], [`CandidateBatch::is_feasible`], and
-    /// [`CandidateBatch::error`] are meaningful — outcome accessors
-    /// would index empty arrays.
+    /// scalar reference's outcome ([`ParallelHev::peek_with_context`]
+    /// with the same control at the batch's `dt`): each lane runs the
+    /// same completion on the same cached pure context, and `score`
+    /// sees the same outcome bits. The whole batch records exactly
+    /// `len()` peek-equivalent evaluations in one counter update.
+    ///
+    /// `ctx` must have been built (or rebuilt) by this vehicle for the
+    /// demand being evaluated, exactly as for
+    /// [`ParallelHev::peek_with_context`]; the cache must be scoped to
+    /// this vehicle's current battery state and this batch's `dt` — see
+    /// [`CurrentContextCache`].
     pub fn evaluate_batch_scored<F>(
         &self,
         ctx: &StepContext,
@@ -614,7 +366,8 @@ impl ParallelHev {
         F: Fn(&StepOutcome) -> f64,
     {
         let n = batch.len();
-        batch.clear_outputs();
+        batch.err.clear();
+        batch.score.clear();
         batch.err.resize(n, None);
         batch.score.resize(n, 0.0);
         if n == 0 {
@@ -674,128 +427,20 @@ mod tests {
         ParallelHev::new(HevParams::default_parallel_hev(), 0.6).unwrap()
     }
 
-    fn outcome_bits(o: &StepOutcome) -> [u64; 13] {
-        [
-            o.fuel_rate_g_per_s.to_bits(),
-            o.fuel_g.to_bits(),
-            o.ice_torque_nm.to_bits(),
-            o.ice_speed_rad_s.to_bits(),
-            o.em_torque_nm.to_bits(),
-            o.em_speed_rad_s.to_bits(),
-            o.battery_current_a.to_bits(),
-            o.battery_power_w.to_bits(),
-            o.p_aux_w.to_bits(),
-            o.aux_utility.to_bits(),
-            o.friction_brake_torque_nm.to_bits(),
-            o.soc_before.to_bits(),
-            o.soc_after.to_bits(),
-        ]
-    }
-
-    #[test]
-    fn batch_lane_matches_scalar_reference_bit_for_bit() {
-        let hev = hev();
-        for (v, a) in [(0.0, 0.0), (3.0, 0.4), (20.0, 0.3), (15.0, -1.5)] {
-            let d = hev.demand(v, a, 0.0);
-            let ctx = hev.step_context(&d);
-            let mut batch = CandidateBatch::default();
-            batch.begin(1.0);
-            for &i in &[-25.0, 0.0, 10.0, 100.0, 1e6] {
-                for gear in 0..6 {
-                    // gear 5 is invalid: error lanes are part of the contract
-                    batch.push(i, gear, 600.0);
-                }
-            }
-            hev.evaluate_batch(&ctx, &mut batch);
-            for lane in 0..batch.len() {
-                let control = batch.control(lane);
-                let scalar = hev.peek_with_context(&ctx, &control, 1.0);
-                match (batch.outcome(lane), scalar) {
-                    (Ok(b), Ok(s)) => {
-                        assert_eq!(outcome_bits(&b), outcome_bits(&s), "lane {lane} v={v}");
-                        assert_eq!(b.mode, s.mode);
-                        assert_eq!(b.engine_started, s.engine_started);
-                    }
-                    (Err(b), Err(s)) => assert_eq!(b, s, "lane {lane} v={v}"),
-                    (b, s) => panic!("verdict mismatch at lane {lane}: {b:?} vs {s:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_kernel_matches_uncached_bit_for_bit() {
-        let hev = hev();
-        // One cache spans every demand: contexts depend only on the
-        // battery state and dt, neither of which a peek mutates.
-        let mut cache = CurrentContextCache::new();
-        for (v, a) in [(0.0, 0.0), (3.0, 0.4), (20.0, 0.3), (15.0, -1.5)] {
-            let d = hev.demand(v, a, 0.0);
-            let ctx = hev.step_context(&d);
-            let mut plain = CandidateBatch::default();
-            let mut cached = CandidateBatch::default();
-            for b in [&mut plain, &mut cached] {
-                b.begin(1.0);
-                // Interleave currents so the uncached kernel's
-                // consecutive-lane reuse never fires but the cache hits.
-                for gear in 0..6 {
-                    for &i in &[-25.0, 0.0, 10.0, 100.0, 1e6] {
-                        b.push(i, gear, 600.0);
-                    }
-                }
-            }
-            hev.evaluate_batch(&ctx, &mut plain);
-            hev.evaluate_batch_cached(&ctx, &mut cached, &mut cache);
-            for lane in 0..plain.len() {
-                match (plain.outcome(lane), cached.outcome(lane)) {
-                    (Ok(p), Ok(c)) => {
-                        assert_eq!(outcome_bits(&p), outcome_bits(&c), "lane {lane} v={v}");
-                        assert_eq!(p.mode, c.mode);
-                        assert_eq!(p.engine_started, c.engine_started);
-                    }
-                    (Err(p), Err(c)) => assert_eq!(p, c, "lane {lane} v={v}"),
-                    (p, c) => panic!("verdict mismatch at lane {lane}: {p:?} vs {c:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_kernel_counts_one_eval_per_lane() {
-        let hev = hev();
-        let d = hev.demand(15.0, 0.2, 0.0);
-        let ctx = hev.step_context(&d);
-        let mut batch = CandidateBatch::default();
-        let mut cache = CurrentContextCache::new();
-        batch.begin(1.0);
-        for gear in 0..5 {
-            batch.push(8.0, gear, 600.0);
-        }
-        let snap = hev_trace::evals::count();
-        let calls = hev_trace::evals::batch_calls();
-        hev.evaluate_batch_cached(&ctx, &mut batch, &mut cache);
-        assert_eq!(hev_trace::evals::since(snap), 5);
-        assert_eq!(hev_trace::evals::batch_calls() - calls, 1);
-        // A cached empty batch is the same no-op as the uncached one.
-        batch.begin(1.0);
-        let snap = hev_trace::evals::count();
-        hev.evaluate_batch_cached(&ctx, &mut batch, &mut cache);
-        assert_eq!(hev_trace::evals::since(snap), 0);
-    }
-
     #[test]
     fn batch_counts_one_eval_per_lane() {
         let hev = hev();
         let d = hev.demand(15.0, 0.2, 0.0);
         let ctx = hev.step_context(&d);
         let mut batch = CandidateBatch::default();
+        let mut cache = CurrentContextCache::new();
         batch.begin(1.0);
         for gear in 0..5 {
             batch.push(8.0, gear, 600.0);
         }
         let snap = hev_trace::evals::count();
         let calls = hev_trace::evals::batch_calls();
-        hev.evaluate_batch(&ctx, &mut batch);
+        hev.evaluate_batch_scored(&ctx, &mut batch, &mut cache, |o| o.fuel_g);
         assert_eq!(hev_trace::evals::since(snap), 5);
         assert_eq!(hev_trace::evals::batch_calls() - calls, 1);
     }
@@ -806,11 +451,14 @@ mod tests {
         let d = hev.demand(10.0, 0.0, 0.0);
         let ctx = hev.step_context(&d);
         let mut batch = CandidateBatch::default();
+        let mut cache = CurrentContextCache::new();
         batch.begin(1.0);
         let snap = hev_trace::evals::count();
-        hev.evaluate_batch(&ctx, &mut batch);
+        let calls = hev_trace::evals::batch_calls();
+        hev.evaluate_batch_scored(&ctx, &mut batch, &mut cache, |o| o.fuel_g);
         assert_eq!(batch.len(), 0);
         assert_eq!(hev_trace::evals::since(snap), 0);
+        assert_eq!(hev_trace::evals::batch_calls(), calls);
     }
 
     #[test]
@@ -869,7 +517,9 @@ mod tests {
         let mut batch = CandidateBatch::default();
         batch.begin(1.0);
         batch.push_tagged(4.0, 1, 600.0, 7);
-        hev.evaluate_batch(&ctx, &mut batch);
+        hev.evaluate_batch_scored(&ctx, &mut batch, &mut CurrentContextCache::new(), |o| {
+            o.fuel_g
+        });
         assert_eq!(batch.tag(0), 7);
         batch.begin(0.5);
         assert!(batch.is_empty());

@@ -592,9 +592,9 @@ impl ParallelHev {
     }
 
     /// The shared completion body of [`ParallelHev::peek_with_contexts`]
-    /// and the batch kernel ([`ParallelHev::evaluate_batch`]): resolves
-    /// one control against prebuilt contexts *without* touching the
-    /// evaluation counter. The two callers differ only in how they count
+    /// and the batch kernel ([`ParallelHev::evaluate_batch_scored`]):
+    /// resolves one control against prebuilt contexts *without* touching
+    /// the evaluation counter. The two callers differ only in how they count
     /// — one eval per scalar call vs. one per batch lane — so every lane
     /// of a batch is bit-identical to the scalar reference by
     /// construction.

@@ -1,12 +1,15 @@
 //! The batch-vs-scalar differential suite.
 //!
-//! [`ParallelHev::evaluate_batch`]'s contract is that every lane is
-//! **bit-identical** — every float field via `to_bits()`, every
-//! feasibility verdict, every error variant — to a scalar
-//! [`ParallelHev::peek_with_context`] call with the same control. A
-//! silent divergence here would corrupt every downstream result (masks,
-//! argmaxes, trained Q-tables), so this suite pins the contract with
-//! zero tolerance across:
+//! [`ParallelHev::evaluate_batch_scored`]'s contract is that every lane
+//! is **bit-identical** to a scalar [`ParallelHev::peek_with_context`]
+//! call with the same control: every feasibility verdict, every error
+//! variant, and a score that is the score closure applied to the scalar
+//! outcome. [`ParallelHev::replay_candidate`] must then return the
+//! scalar outcome itself. A silent divergence here would corrupt every
+//! downstream result (masks, argmaxes, trained Q-tables), so this suite
+//! pins the contract with zero tolerance: it scores each batch once per
+//! [`StepOutcome`] field, so every field of every lane is compared via
+//! `to_bits()`, across:
 //!
 //! * all five standard cycles the paper's experiments run on (OSCAR,
 //!   UDDS, MODEM, SC03, HWFET), over a rolling battery state;
@@ -17,7 +20,9 @@
 //!   and duplicate candidates.
 
 use drive_cycle::StandardCycle;
-use hev_model::{CandidateBatch, ControlInput, HevParams, ParallelHev, StepOutcome};
+use hev_model::{
+    CandidateBatch, CurrentContextCache, HevParams, ParallelHev, StepContext, StepOutcome,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,57 +31,76 @@ fn hev_at(soc: f64) -> ParallelHev {
     ParallelHev::new(HevParams::default_parallel_hev(), soc).expect("valid defaults")
 }
 
-/// Every float field of an outcome, as raw bits.
-fn bits(o: &StepOutcome) -> [u64; 13] {
-    [
-        o.fuel_rate_g_per_s.to_bits(),
-        o.fuel_g.to_bits(),
-        o.ice_torque_nm.to_bits(),
-        o.ice_speed_rad_s.to_bits(),
-        o.em_torque_nm.to_bits(),
-        o.em_speed_rad_s.to_bits(),
-        o.battery_current_a.to_bits(),
-        o.battery_power_w.to_bits(),
-        o.p_aux_w.to_bits(),
-        o.aux_utility.to_bits(),
-        o.friction_brake_torque_nm.to_bits(),
-        o.soc_before.to_bits(),
-        o.soc_after.to_bits(),
-    ]
+/// Every field of an outcome as a score closure: floats as themselves,
+/// `mode` and `engine_started` as small integers.
+type Field = (&'static str, fn(&StepOutcome) -> f64);
+
+const FIELDS: [Field; 15] = [
+    ("mode", |o| f64::from(o.mode as u8)),
+    ("fuel_rate_g_per_s", |o| o.fuel_rate_g_per_s),
+    ("fuel_g", |o| o.fuel_g),
+    ("engine_started", |o| f64::from(u8::from(o.engine_started))),
+    ("ice_torque_nm", |o| o.ice_torque_nm),
+    ("ice_speed_rad_s", |o| o.ice_speed_rad_s),
+    ("em_torque_nm", |o| o.em_torque_nm),
+    ("em_speed_rad_s", |o| o.em_speed_rad_s),
+    ("battery_current_a", |o| o.battery_current_a),
+    ("battery_power_w", |o| o.battery_power_w),
+    ("p_aux_w", |o| o.p_aux_w),
+    ("aux_utility", |o| o.aux_utility),
+    ("friction_brake_torque_nm", |o| o.friction_brake_torque_nm),
+    ("soc_before", |o| o.soc_before),
+    ("soc_after", |o| o.soc_after),
+];
+
+/// Every field of an outcome, as raw bits.
+fn bits(o: &StepOutcome) -> [u64; 15] {
+    FIELDS.map(|(_, field)| field(o).to_bits())
 }
 
-/// Evaluates `batch` and asserts every lane bit-matches the looped
-/// scalar reference at the same context.
+/// Scores `batch` once per outcome field and asserts every lane's
+/// verdict and score bit-match the looped scalar reference at the same
+/// context; then asserts that replaying each feasible lane returns the
+/// scalar outcome.
 fn assert_batch_matches_scalar(
     hev: &ParallelHev,
-    ctx: &hev_model::StepContext,
+    ctx: &StepContext,
     batch: &mut CandidateBatch,
     dt: f64,
     label: &str,
 ) {
-    hev.evaluate_batch(ctx, batch);
-    for lane in 0..batch.len() {
-        let control = batch.control(lane);
-        let scalar = hev.peek_with_context(ctx, &control, dt);
-        match (batch.outcome(lane), scalar) {
-            (Ok(b), Ok(s)) => {
-                assert_eq!(
-                    bits(&b),
-                    bits(&s),
-                    "{label}: float fields diverged at lane {lane} ({control:?})"
-                );
-                assert_eq!(b.mode, s.mode, "{label}: mode diverged at lane {lane}");
-                assert_eq!(
-                    b.engine_started, s.engine_started,
-                    "{label}: engine_started diverged at lane {lane}"
-                );
-            }
-            (Err(b), Err(s)) => {
-                assert_eq!(b, s, "{label}: error variant diverged at lane {lane}");
-            }
-            (b, s) => {
-                panic!("{label}: feasibility verdict diverged at lane {lane} ({control:?}): batch {b:?} vs scalar {s:?}")
-            }
+    let scalar: Vec<_> = (0..batch.len())
+        .map(|lane| hev.peek_with_context(ctx, &batch.control(lane), dt))
+        .collect();
+    // One cache spans every pass: the battery state and dt never change.
+    let mut cache = CurrentContextCache::new();
+    for (name, field) in FIELDS {
+        hev.evaluate_batch_scored(ctx, batch, &mut cache, field);
+        for (lane, s) in scalar.iter().enumerate() {
+            let control = batch.control(lane);
+            assert_eq!(
+                batch.error(lane),
+                s.as_ref().err().copied(),
+                "{label}: feasibility verdict diverged at lane {lane} ({control:?})"
+            );
+            assert_eq!(
+                batch.score(lane).map(f64::to_bits),
+                s.as_ref().ok().map(|o| field(o).to_bits()),
+                "{label}: {name} diverged at lane {lane} ({control:?})"
+            );
+        }
+    }
+    for (lane, s) in scalar.iter().enumerate() {
+        if let Ok(s) = s {
+            let control = batch.control(lane);
+            let replayed = hev
+                .replay_candidate(ctx, &mut cache, &control, dt)
+                .unwrap_or_else(|e| panic!("{label}: feasible lane {lane} replayed as {e:?}"));
+            assert_eq!(
+                bits(&replayed),
+                bits(s),
+                "{label}: replay diverged at lane {lane} ({control:?})"
+            );
         }
     }
 }
@@ -206,7 +230,7 @@ proptest! {
         let mut batch = CandidateBatch::default();
         batch.begin(1.0);
         let snap = hev_trace::evals::count();
-        hev.evaluate_batch(&ctx, &mut batch);
+        hev.evaluate_batch_scored(&ctx, &mut batch, &mut CurrentContextCache::new(), |o| o.fuel_g);
         prop_assert_eq!(batch.len(), 0);
         prop_assert_eq!(hev_trace::evals::since(snap), 0);
     }
@@ -227,17 +251,7 @@ proptest! {
         let mut batch = CandidateBatch::default();
         batch.begin(1.0);
         batch.push(i, gear, p_aux);
-        hev.evaluate_batch(&ctx, &mut batch);
-        let control = ControlInput { battery_current_a: i, gear, p_aux_w: p_aux };
-        let scalar = hev.peek_with_context(&ctx, &control, 1.0);
-        match (batch.outcome(0), scalar) {
-            (Ok(b), Ok(s)) => {
-                prop_assert_eq!(bits(&b), bits(&s));
-                prop_assert_eq!(b.mode, s.mode);
-            }
-            (Err(b), Err(s)) => prop_assert_eq!(b, s),
-            (b, s) => prop_assert!(false, "verdict diverged: {:?} vs {:?}", b, s),
-        }
+        assert_batch_matches_scalar(&hev, &ctx, &mut batch, 1.0, "single candidate");
     }
 
     /// An all-infeasible batch (every lane commands an out-of-range
@@ -259,19 +273,20 @@ proptest! {
             batch.push(4.0, gear_offset + k, 600.0);
         }
         let snap = hev_trace::evals::count();
-        hev.evaluate_batch(&ctx, &mut batch);
+        hev.evaluate_batch_scored(&ctx, &mut batch, &mut CurrentContextCache::new(), |o| o.fuel_g);
         prop_assert_eq!(hev_trace::evals::since(snap), lanes as u64);
         for lane in 0..batch.len() {
             let control = batch.control(lane);
             let scalar = hev.peek_with_context(&ctx, &control, 1.0);
             let scalar_err = scalar.expect_err("out-of-range gear must be infeasible");
             prop_assert!(!batch.is_feasible(lane));
+            prop_assert_eq!(batch.score(lane), None);
             prop_assert_eq!(batch.error(lane), Some(scalar_err));
         }
     }
 
     /// Duplicate candidates resolve to identical lanes (the shared
-    /// current-context reuse must not leak state between lanes), each
+    /// context cache must not leak state between lanes), each
     /// bit-matching the scalar call.
     #[test]
     fn duplicate_candidates_resolve_identically(
@@ -290,18 +305,9 @@ proptest! {
             batch.push(i, gear, 600.0);
         }
         // Interleave a different current between two more copies, so the
-        // kernel's context reuse is forced to rebuild and come back.
+        // cache serves a second context and then returns to the first.
         batch.push(i + 7.0, gear, 600.0);
         batch.push(i, gear, 600.0);
-        hev.evaluate_batch(&ctx, &mut batch);
-        let control = ControlInput { battery_current_a: i, gear, p_aux_w: 600.0 };
-        let scalar = hev.peek_with_context(&ctx, &control, 1.0);
-        for lane in (0..copies).chain([copies + 1]) {
-            match (batch.outcome(lane), &scalar) {
-                (Ok(b), Ok(s)) => prop_assert_eq!(bits(&b), bits(s)),
-                (Err(b), Err(s)) => prop_assert_eq!(b, *s),
-                (b, s) => prop_assert!(false, "lane {} diverged: {:?} vs {:?}", lane, b, s),
-            }
-        }
+        assert_batch_matches_scalar(&hev, &ctx, &mut batch, 1.0, "duplicates");
     }
 }
